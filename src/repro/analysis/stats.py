@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 __all__ = ["SampleSummary", "summarize_samples", "confidence_interval", "relative_half_width"]
 
 
@@ -83,6 +81,8 @@ def confidence_interval(
         return (mean, mean)
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
+    from scipy import stats as scipy_stats  # ~1 s to import; only needed here
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return (mean - t_crit * sem, mean + t_crit * sem)
 

@@ -79,9 +79,6 @@ from .sweeps import (
 from .topology.irregular import lattice_irregular_network
 from .topology.properties import summarize
 from .topology.serialization import save_network
-from .verification.cdg import build_spam_cdg
-from .verification.harness import stress_test_deadlock_freedom
-from .verification.reachability import check_unicast_reachability
 
 __all__ = ["build_parser", "main"]
 
@@ -227,10 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: $REPRO_SWEEP_WORKERS or sequential; "
                             "0 = one per CPU)")
-    sweep.add_argument("--batch-replications", type=int, default=0, metavar="N",
-                       help="batch up to N replications sharing a network/routing "
-                            "skeleton into one evaluation task (bit-identical "
-                            "results, shared construction cost; 0 disables)")
     sweep.add_argument("--resume", action=argparse.BooleanOptionalAction, default=True,
                        help="reuse stored results and compute only missing points "
                             "(--no-resume recomputes everything)")
@@ -567,7 +560,6 @@ def _cmd_sweep(args, scale) -> int:
     telemetry = _make_telemetry(args)
     outcome = run_sweep(
         specs, store=store, workers=args.workers, resume=args.resume,
-        batch_replications=args.batch_replications,
         progress=progress, shard=shard, telemetry=telemetry,
     )
     if assemble is not None:
@@ -596,8 +588,12 @@ def _cmd_sweep(args, scale) -> int:
 
 
 def _cmd_obs(args) -> int:
-    with open(args.file) as handle:
-        document = json.load(handle)
+    try:
+        with open(args.file) as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as exc:
+        print(f"obs: cannot read {args.file}: {exc}", file=sys.stderr)
+        return 2
     errors = validate_snapshot(document)
     if args.obs_command == "summarize":
         if errors:
@@ -636,8 +632,13 @@ def _cmd_obs(args) -> int:
         trace_path = str(sibling) if sibling.exists() else None
     trace_errors: list[str] = []
     if trace_path is not None:
-        with open(trace_path) as handle:
-            trace_errors = validate_chrome_trace(json.load(handle))
+        try:
+            with open(trace_path) as handle:
+                trace = json.load(handle)
+        except (OSError, ValueError) as exc:
+            print(f"obs: cannot read {trace_path}: {exc}", file=sys.stderr)
+            return 2
+        trace_errors = validate_chrome_trace(trace)
     for error in errors:
         print(f"snapshot: {error}", file=sys.stderr)
     for error in trace_errors:
@@ -650,6 +651,12 @@ def _cmd_obs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: the verification suite pulls in networkx, which no
+    # other command needs.
+    from .verification.cdg import build_spam_cdg
+    from .verification.harness import stress_test_deadlock_freedom
+    from .verification.reachability import check_unicast_reachability
+
     network = lattice_irregular_network(args.switches, seed=args.seed)
     spam = SpamRouting.build(network)
     cdg = build_spam_cdg(spam)

@@ -127,13 +127,10 @@ def run_figure2(
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
-    batch_replications: int = 0,
     telemetry=None,
 ) -> SweepResult:
     """Regenerate Figure 2 and return its sweep data.
 
-    ``batch_replications > 0`` routes skeleton-sharing points through the
-    batched Monte-Carlo backend (see :func:`repro.sweeps.run_sweep`).
     ``telemetry`` is an optional ``repro.obs`` recorder threaded through the
     sweep into every point's engine (wall-clock observability only).
     """
@@ -143,7 +140,6 @@ def run_figure2(
         store=store,
         workers=workers,
         resume=resume,
-        batch_replications=batch_replications,
         telemetry=telemetry,
     )
     return figure2_result_from_points(config, outcome.results)

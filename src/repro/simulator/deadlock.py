@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 __all__ = ["DeadlockReport", "diagnose"]
 
 
@@ -75,6 +73,8 @@ def diagnose(engine) -> DeadlockReport:
         The :class:`~repro.simulator.engine.WormholeSimulator` whose event
         queue has drained with undelivered messages.
     """
+    import networkx as nx  # only a stalled run pays for the import
+
     report = DeadlockReport()
     report.stalled_messages = [
         message.mid for message in engine.messages.values() if not message.is_complete

@@ -16,11 +16,8 @@ runs:
   and tracks completion through per-store ``manifest.json`` files;
 * :mod:`repro.sweeps.scheduler` — :func:`run_sweep`, chunked process-pool
   dispatch with per-point checkpointing, deterministic ordering, a resume
-  path that completes a partially finished sweep from the store, a
-  ``shard=(index, count)`` restriction for splitting a sweep across hosts,
-  and a ``batch_replications`` mode that groups skeleton-sharing points
-  into :class:`ReplicationBatchSpec` batches (:func:`evaluate_batch`) for
-  replication-heavy statistics.
+  path that completes a partially finished sweep from the store, and a
+  ``shard=(index, count)`` restriction for splitting a sweep across hosts.
 
 * :mod:`repro.sweeps.coordinator` / :mod:`repro.sweeps.worker` — the fleet
   layer: :class:`Coordinator`, a long-lived service owning a spec universe
@@ -49,15 +46,12 @@ from .coordinator import (
 )
 from .scheduler import SweepOutcome, resolve_workers, run_sweep
 from .spec import (
-    ReplicationBatchSpec,
     SweepPointResult,
     SweepPointSpec,
     WORKLOAD_KINDS,
     build_network_and_routing,
-    evaluate_batch,
+    clear_skeleton_cache,
     evaluate_spec,
-    group_replications,
-    iter_evaluate_batch,
     parse_shard,
     run_software_multicast_once,
     shard_specs,
@@ -79,16 +73,13 @@ from .worker import WORKER_FAULTS, WorkerClient, WorkerReport, run_worker
 __all__ = [
     "SweepPointSpec",
     "SweepPointResult",
-    "ReplicationBatchSpec",
     "WORKLOAD_KINDS",
     "evaluate_spec",
-    "evaluate_batch",
-    "iter_evaluate_batch",
-    "group_replications",
     "spec_from_dict",
     "shard_specs",
     "parse_shard",
     "build_network_and_routing",
+    "clear_skeleton_cache",
     "run_software_multicast_once",
     "ResultStore",
     "ManifestStatus",

@@ -14,16 +14,11 @@ Guarantees:
   and the returned list order always matches the input order.
 * **Per-point checkpointing** — every computed result is appended to the
   store the moment it arrives, so a killed run loses at most the points
-  still in flight.  Batched replication mode keeps the granularity: a
-  batch's results are checkpointed under their individual spec keys as the
-  batch lands, and a failure mid-batch still checkpoints the replications
-  that completed before it.
-* **Batched replications** — ``batch_replications > 0`` groups points that
-  share a network/routing skeleton (same ``network_size`` /
-  ``topology_seed`` / ``root_strategy``) into
-  :class:`~repro.sweeps.spec.ReplicationBatchSpec` tasks evaluated with
-  shared immutable state, bit-identical per replication to the per-point
-  path (:func:`~repro.sweeps.spec.iter_evaluate_batch`).
+  still in flight.
+* **One skeleton build per process** — every process (the parent or a
+  pool worker) builds each network and its SPAM skeleton once and reuses
+  it for every point on that network (the skeleton cache in
+  :mod:`repro.sweeps.spec`); results are bit-identical to a fresh build.
 * **Resume** — a re-run of the same spec list completes exactly the
   missing points (``resume=False`` recomputes everything but still
   refreshes the store).
@@ -51,15 +46,7 @@ from typing import Callable, Sequence
 
 from ..errors import SweepError
 from ..obs import NullTelemetry, Telemetry, env_knob
-from .spec import (
-    ReplicationBatchSpec,
-    SweepPointResult,
-    SweepPointSpec,
-    evaluate_spec,
-    group_replications,
-    iter_evaluate_batch,
-    shard_specs,
-)
+from .spec import SweepPointResult, SweepPointSpec, evaluate_spec, shard_specs
 from .store import ResultStore
 
 __all__ = ["SweepOutcome", "run_sweep", "resolve_workers"]
@@ -163,48 +150,12 @@ def _evaluate_chunk(
     return results, worker.to_payload(), error
 
 
-def _evaluate_batch(
-    batch: ReplicationBatchSpec, collect_detail: bool = False
-) -> tuple[list[SweepPointResult], dict, Exception | None]:
-    """Worker-side entry point: evaluate one replication batch.
-
-    Mirrors :func:`_evaluate_chunk` — one ``sweep.point.evaluate`` span and
-    one ``sweep.point.evaluate_ns`` sample per replication on a private
-    ``worker`` track, partial results plus the exception on a mid-batch
-    failure — but drives :func:`~repro.sweeps.spec.iter_evaluate_batch`, so
-    the network and SPAM skeleton are built once for the whole batch (the
-    first replication's span absorbs that shared construction cost).
-    """
-    worker = Telemetry(track="worker")
-    clock = worker.clock
-    results: list[SweepPointResult] = []
-    error: Exception | None = None
-    replications = iter_evaluate_batch(
-        batch, telemetry=worker if collect_detail else None
-    )
-    for spec in batch.specs:
-        start_ns = clock()
-        try:
-            result = next(replications)
-        except Exception as exc:
-            error = exc
-            break
-        end_ns = clock()
-        worker.span_at(
-            "sweep.point.evaluate", start_ns, end_ns, workload=spec.workload_kind
-        )
-        worker.value("sweep.point.evaluate_ns", end_ns - start_ns)
-        results.append(result)
-    return results, worker.to_payload(), error
-
-
 def run_sweep(
     specs: Sequence[SweepPointSpec],
     store: ResultStore | None = None,
     workers: int | None = None,
     resume: bool = True,
     chunk_size: int = 1,
-    batch_replications: int = 0,
     progress: ProgressCallback | None = None,
     shard: tuple[int, int] | None = None,
     telemetry: Telemetry | NullTelemetry | None = None,
@@ -228,20 +179,7 @@ def run_sweep(
     chunk_size:
         Specs per pool task.  The default of 1 gives per-point
         checkpointing and the finest progress; raise it when points are so
-        cheap that pickling dominates.  Ignored in batched mode (the batch
-        is the task).
-    batch_replications:
-        When ``> 0``, enable batched Monte-Carlo evaluation: points sharing
-        a network/routing skeleton are grouped into
-        :class:`~repro.sweeps.spec.ReplicationBatchSpec` batches of at most
-        this many replications and evaluated with shared immutable state —
-        bit-identical per replication to the per-point path, but the
-        network/tree/labelling/ancestry construction is paid once per batch
-        instead of once per replication.  Results are still checkpointed
-        under their individual spec keys, so warm-cache, resume and
-        sharding semantics are unchanged.  Use it for replication-heavy
-        statistics (many points on one topology); use ``chunk_size`` when
-        points are merely cheap but heterogeneous.
+        cheap that pickling dominates.
     progress:
         Optional callback invoked after every completed point with
         ``(points_done, points_total, spec)``.
@@ -256,8 +194,7 @@ def run_sweep(
         passing a live :class:`~repro.obs.Telemetry` additionally threads
         it into every point's engine (per-probe spans) and keeps the full
         span record — worker-process telemetry is shipped back and merged
-        under ``chunk{i}`` track labels (``batch{i}`` in batched mode, one
-        per-replication span each).  Recording never changes any result
+        under ``chunk{i}`` track labels.  Recording never changes any result
         (the observables firewall, ``docs/observability.md``).
 
     When a store is given, the points this run was responsible for (the
@@ -312,90 +249,51 @@ def run_sweep(
     unique = list(pending)
     done = len(specs) - sum(len(indices) for indices in pending.values())
 
-    def record_all(batch_results: Sequence[SweepPointResult]) -> None:
+    def record_all(arrived: Sequence[SweepPointResult]) -> None:
         nonlocal done
-        if not batch_results:
+        if not arrived:
             return
-        for result in batch_results:
+        for result in arrived:
             indices = pending[result.spec]
             for index in indices:
                 results[index] = result
         if store is not None:
-            # One append handle per arriving group — per-replication rows
-            # under individual spec keys, without per-row open/close.
+            # One append handle per arriving chunk — per-point rows under
+            # individual spec keys, without per-row open/close.
             with acct.span("sweep.point.store_append"):
-                store.put_many(batch_results)
-        for result in batch_results:
+                store.put_many(arrived)
+        for result in arrived:
             done += len(pending[result.spec])
             if progress is not None:
                 progress(done, len(specs), result.spec)
 
-    def record(result: SweepPointResult) -> None:
-        record_all([result])
-
     workers = resolve_workers(workers)
-    batch_size = max(0, int(batch_replications or 0))
     try:
         if workers <= 1 or len(unique) <= 1:
-            if batch_size > 0:
-                for batch in group_replications(unique, max_batch_size=batch_size):
-                    replications = iter_evaluate_batch(
-                        batch, telemetry=acct if collect_detail else None
+            for spec in unique:
+                point_start_ns = clock() if clock is not None else 0
+                result = evaluate_spec(
+                    spec, telemetry=acct if collect_detail else None
+                )
+                if clock is not None:
+                    point_end_ns = clock()
+                    computed_ns += point_end_ns - point_start_ns
+                    acct.span_at(
+                        "sweep.point.evaluate",
+                        point_start_ns,
+                        point_end_ns,
+                        workload=spec.workload_kind,
                     )
-                    for spec in batch.specs:
-                        point_start_ns = clock() if clock is not None else 0
-                        # A mid-batch failure propagates from here with the
-                        # earlier replications already recorded below.
-                        result = next(replications)
-                        if clock is not None:
-                            point_end_ns = clock()
-                            computed_ns += point_end_ns - point_start_ns
-                            acct.span_at(
-                                "sweep.point.evaluate",
-                                point_start_ns,
-                                point_end_ns,
-                                workload=spec.workload_kind,
-                            )
-                        record(result)
-            else:
-                for spec in unique:
-                    point_start_ns = clock() if clock is not None else 0
-                    result = evaluate_spec(
-                        spec, telemetry=acct if collect_detail else None
-                    )
-                    if clock is not None:
-                        point_end_ns = clock()
-                        computed_ns += point_end_ns - point_start_ns
-                        acct.span_at(
-                            "sweep.point.evaluate",
-                            point_start_ns,
-                            point_end_ns,
-                            workload=spec.workload_kind,
-                        )
-                    record(result)
+                record_all([result])
         else:
-            if batch_size > 0:
-                track_label = "batch"
-                tasks: list = group_replications(unique, max_batch_size=batch_size)
-            else:
-                track_label = "chunk"
-                chunk = max(1, int(chunk_size))
-                tasks = [unique[i : i + chunk] for i in range(0, len(unique), chunk)]
+            chunk = max(1, int(chunk_size))
+            tasks = [unique[i : i + chunk] for i in range(0, len(unique), chunk)]
             first_error: Exception | None = None
             dispatch_start_ns = clock() if clock is not None else 0
             with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                # Explicit submit call per task shape: repro-lint R7 needs a
-                # module-level callable named at the submission site.
-                if batch_size > 0:
-                    futures = [
-                        pool.submit(_evaluate_batch, task, collect_detail)
-                        for task in tasks
-                    ]
-                else:
-                    futures = [
-                        pool.submit(_evaluate_chunk, task, collect_detail)
-                        for task in tasks
-                    ]
+                futures = [
+                    pool.submit(_evaluate_chunk, task, collect_detail) for task in tasks
+                ]
                 # Track labels come from submission order, not completion
                 # order, so merged worker telemetry is stably named.
                 task_index = {future: i for i, future in enumerate(futures)}
@@ -425,7 +323,7 @@ def run_sweep(
                     if evaluate_dist is not None:
                         computed_ns += int(evaluate_dist["total"])
                     acct.merge_child(
-                        task_telemetry, track=f"{track_label}{task_index[future]}"
+                        task_telemetry, track=f"chunk{task_index[future]}"
                     )
                     record_all(task_results)
                     if task_error is not None:

@@ -11,7 +11,9 @@ stable hash of them, so *everything* that influences a point's result must
 live in the spec (and nothing else may).
 
 Worker processes rebuild networks and routing state from the spec's
-parameters rather than receiving live objects; :func:`evaluate_spec` is the
+parameters rather than receiving live objects, once per process and
+network through the skeleton cache (:func:`_skeleton`, cleared by
+:func:`clear_skeleton_cache`); :func:`evaluate_spec` is the
 single evaluation path shared by sequential runs, process pools and the
 experiment drivers (the hand-rolled per-figure workload construction that
 used to live in ``repro.experiments`` folds into the handlers here).
@@ -40,13 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..analysis.bounds import compare_against_bound
 from ..core.partition import partition_destinations
-from ..core.selection import SELECTION_CLASSES, make_selection
+from ..core.selection import SELECTION_CLASSES, FirstAllowedSelection, make_selection
 from ..core.spam import SpamRouting
 from ..errors import ZeroDeliveryError
 from ..routing.unicast_multicast import UnicastMulticastScheduler
@@ -62,13 +64,10 @@ from ..traffic.workload import mixed_traffic_workload, single_multicast_workload
 __all__ = [
     "SweepPointSpec",
     "SweepPointResult",
-    "ReplicationBatchSpec",
     "WORKLOAD_KINDS",
     "evaluate_spec",
-    "evaluate_batch",
-    "iter_evaluate_batch",
-    "group_replications",
     "build_network_and_routing",
+    "clear_skeleton_cache",
     "run_software_multicast_once",
     "spec_from_dict",
     "shard_specs",
@@ -290,51 +289,65 @@ def build_network_and_routing(
 
 
 @lru_cache(maxsize=4)
-def _cached_network_and_routing(
+def _skeleton(
+    num_switches: int, seed: int, root_strategy: str
+) -> tuple[Network, SpamRouting]:
+    """The per-process skeleton cache: one network and one SPAM build per
+    ``(network_size, topology_seed, root_strategy)``.
+
+    Those three fields fully determine the network, the BFS spanning tree,
+    the channel labelling and the ancestry; the selection function plays no
+    part in any of them (see :meth:`SpamRouting.with_selection`).  The
+    build uses :class:`FirstAllowedSelection` as a cheap placeholder so it
+    never computes the distance matrix of the default selection.  The
+    cached routing is never handed out: every point routes through its own
+    :meth:`~SpamRouting.with_selection` clone.
+    """
+    network = lattice_irregular_network(num_switches, seed=seed)
+    skeleton = SpamRouting.build(
+        network, root_strategy=root_strategy, selection=FirstAllowedSelection()
+    )
+    return network, skeleton
+
+
+@lru_cache(maxsize=4)
+def _stateless_routing(
     num_switches: int,
     seed: int,
     root_strategy: str,
     selection_name: str,
-    selection_seed: int | None,
-) -> tuple[Network, SpamRouting]:
-    # Networks and stateless routing are immutable during simulation
-    # (per-run state lives on the simulator), so consecutive points of one
-    # series — and every point a worker process evaluates — share the build.
-    return build_network_and_routing(
-        num_switches, seed, root_strategy, selection_name, selection_seed
-    )
+    selection_seed: int,
+) -> SpamRouting:
+    # A stateless selection is a pure function of the network, so every
+    # point on the same full key shares one routing (and one distance
+    # matrix for the default selection).
+    network, skeleton = _skeleton(num_switches, seed, root_strategy)
+    return skeleton.with_selection(make_selection(selection_name, network, seed=selection_seed))
+
+
+def clear_skeleton_cache() -> None:
+    """Drop every cached skeleton and stateless routing of this process."""
+    _skeleton.cache_clear()
+    _stateless_routing.cache_clear()
 
 
 def _network_and_routing(spec: SweepPointSpec) -> tuple[Network, SpamRouting]:
+    """The network and routing ``spec`` evaluates on.
+
+    The skeleton comes from the per-process cache.  A stateful selection
+    (e.g. ``"random"``) consumes RNG state on every routing decision, so it
+    is built fresh from its seed for every point: sharing one instance
+    would make :func:`evaluate_spec` depend on evaluation history, breaking
+    the content-addressed cache and bit-identical parallel/sequential runs.
+    """
+    network, skeleton = _skeleton(spec.network_size, spec.topology_seed, spec.root_strategy)
+    seed = spec.topology_seed if spec.selection_seed is None else spec.selection_seed
     selection_class = SELECTION_CLASSES.get(spec.selection)
-    if selection_class is not None and not selection_class.stateless:
-        # A stateful selection (e.g. "random") consumes RNG state on every
-        # routing decision; sharing one instance across points would make
-        # evaluate_spec depend on evaluation history, breaking the
-        # content-addressed cache and bit-identical parallel/sequential
-        # runs.  Build fresh so each point starts from its seeded state.
-        return build_network_and_routing(
-            spec.network_size,
-            spec.topology_seed,
-            spec.root_strategy,
-            spec.selection,
-            spec.selection_seed,
+    if selection_class is not None and selection_class.stateless:
+        return network, _stateless_routing(
+            spec.network_size, spec.topology_seed, spec.root_strategy, spec.selection, seed
         )
-    return _cached_network_and_routing(
-        spec.network_size,
-        spec.topology_seed,
-        spec.root_strategy,
-        spec.selection,
-        spec.selection_seed,
-    )
-
-
-def _context(
-    spec: SweepPointSpec, prebuilt: tuple[Network, SpamRouting] | None
-) -> tuple[Network, SpamRouting]:
-    """The network/routing a point evaluates on: the caller's prebuilt pair
-    (the batched path) or a per-point build (the default path)."""
-    return _network_and_routing(spec) if prebuilt is None else prebuilt
+    return network, skeleton.with_selection(make_selection(spec.selection, network, seed=seed))
 
 
 def _simulation_config(spec: SweepPointSpec) -> SimulationConfig:
@@ -390,11 +403,9 @@ def _tree_metrics(routing: SpamRouting) -> tuple[tuple[str, object], ...]:
 # Per-kind evaluators
 # ----------------------------------------------------------------------
 def _evaluate_single_multicast(
-    spec: SweepPointSpec,
-    telemetry: Any = None,
-    prebuilt: tuple[Network, SpamRouting] | None = None,
+    spec: SweepPointSpec, telemetry: Any = None
 ) -> SweepPointResult:
-    network, routing = _context(spec, prebuilt)
+    network, routing = _network_and_routing(spec)
     params = spec.params()
     workload = single_multicast_workload(
         network,
@@ -418,11 +429,9 @@ def _evaluate_single_multicast(
 
 
 def _evaluate_mixed(
-    spec: SweepPointSpec,
-    telemetry: Any = None,
-    prebuilt: tuple[Network, SpamRouting] | None = None,
+    spec: SweepPointSpec, telemetry: Any = None
 ) -> SweepPointResult:
-    network, routing = _context(spec, prebuilt)
+    network, routing = _network_and_routing(spec)
     params = spec.params()
     rate = float(params["rate_per_us"])
     arrival = str(params.get("arrival", "negative-binomial"))
@@ -495,11 +504,9 @@ def run_software_multicast_once(
 
 
 def _evaluate_software_comparison(
-    spec: SweepPointSpec,
-    telemetry: Any = None,
-    prebuilt: tuple[Network, SpamRouting] | None = None,
+    spec: SweepPointSpec, telemetry: Any = None
 ) -> SweepPointResult:
-    network, spam = _context(spec, prebuilt)
+    network, spam = _network_and_routing(spec)
     params = spec.params()
     config = _simulation_config(spec)
     count = min(int(params["num_destinations"]), network.num_processors - 1)
@@ -534,11 +541,9 @@ def _evaluate_software_comparison(
 
 
 def _evaluate_partitioned_multicast(
-    spec: SweepPointSpec,
-    telemetry: Any = None,
-    prebuilt: tuple[Network, SpamRouting] | None = None,
+    spec: SweepPointSpec, telemetry: Any = None
 ) -> SweepPointResult:
-    network, routing = _context(spec, prebuilt)
+    network, routing = _network_and_routing(spec)
     params = spec.params()
     config = _simulation_config(spec)
     count = min(int(params["num_destinations"]), network.num_processors - 1)
@@ -563,9 +568,8 @@ def _evaluate_partitioned_multicast(
     )
 
 
-#: Registry of workload kinds to their evaluators.  Every evaluator takes
-#: ``(spec, telemetry, prebuilt)`` where ``prebuilt`` is an optional
-#: ``(network, routing)`` pair supplied by the batched evaluation path.
+#: Registry of workload kinds to their evaluators, each called as
+#: ``evaluator(spec, telemetry)``.
 WORKLOAD_KINDS: dict[str, Callable[..., SweepPointResult]] = {
     "single-multicast": _evaluate_single_multicast,
     "mixed": _evaluate_mixed,
@@ -591,124 +595,3 @@ def evaluate_spec(spec: SweepPointSpec, telemetry: Any = None) -> SweepPointResu
     the returned result.
     """
     return _evaluator_for(spec.workload_kind)(spec, telemetry)
-
-
-# ----------------------------------------------------------------------
-# Batched Monte-Carlo evaluation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReplicationBatchSpec:
-    """A group of sweep points sharing one network / spanning-tree skeleton.
-
-    The grouping key is ``(network_size, topology_seed, root_strategy)``:
-    those three fields fully determine the irregular network, the BFS
-    spanning tree, the channel labelling and the ancestry relation (the
-    selection function plays no part in any of them — see
-    :meth:`~repro.core.spam.SpamRouting.with_selection`).  Everything else a
-    replication varies — workload kind and parameters, seeds, selection,
-    simulator overrides — stays per-spec, so a batch amortises exactly the
-    state that is provably shared and nothing more.
-    """
-
-    network_size: int
-    topology_seed: int
-    root_strategy: str
-    specs: tuple[SweepPointSpec, ...]
-
-    def describe(self) -> str:
-        """One-line human-readable identification (used in error messages)."""
-        return (
-            f"{len(self.specs)}-replication batch on {self.network_size} "
-            f"switches (topology seed {self.topology_seed}, "
-            f"root {self.root_strategy!r})"
-        )
-
-
-def group_replications(
-    specs: Sequence[SweepPointSpec], max_batch_size: int = 0
-) -> list[ReplicationBatchSpec]:
-    """Partition ``specs`` into replication batches sharing a skeleton.
-
-    Groups are keyed by ``(network_size, topology_seed, root_strategy)`` in
-    first-appearance order, with input order preserved inside each group;
-    ``max_batch_size > 0`` additionally splits each group into batches of at
-    most that many specs (bounding both a pool task's size and how much work
-    sits unfinished between checkpoints).  The batches are a **partition**
-    of the input: every spec lands in exactly one batch, multiplicity
-    included, and no batch is empty.
-    """
-    groups: dict[tuple[int, int, str], list[SweepPointSpec]] = {}
-    for spec in specs:
-        key = (spec.network_size, spec.topology_seed, spec.root_strategy)
-        groups.setdefault(key, []).append(spec)
-    batches: list[ReplicationBatchSpec] = []
-    for (size, seed, root), members in groups.items():
-        step = len(members) if max_batch_size <= 0 else int(max_batch_size)
-        for start in range(0, len(members), step):
-            batches.append(
-                ReplicationBatchSpec(size, seed, root, tuple(members[start : start + step]))
-            )
-    return batches
-
-
-def iter_evaluate_batch(
-    batch: ReplicationBatchSpec, telemetry: Any = None
-) -> Iterator[SweepPointResult]:
-    """Evaluate ``batch`` lazily, one :class:`SweepPointResult` per spec.
-
-    The network and the SPAM skeleton (tree, labelling, ancestry) are built
-    once and shared by every replication; each replication then gets exactly
-    the selection function the per-point path would have built — stateless
-    selections are reused within the batch (mirroring the per-point
-    ``lru_cache``), stateful ones (e.g. ``"random"``) are constructed fresh
-    from their seed so no replication sees another's RNG state.  Because the
-    shared objects are pure functions of the batch key and the evaluators
-    only read them, every yielded result is bit-identical to
-    ``evaluate_spec(spec)``.
-
-    Laziness is the checkpointing hook: the scheduler times and records each
-    replication as it is produced (the first one absorbs the shared
-    construction cost), and a failure mid-batch leaves the earlier results
-    already yielded.
-    """
-    network = lattice_irregular_network(batch.network_size, seed=batch.topology_seed)
-    skeleton: SpamRouting | None = None
-    stateless_cache: dict[tuple[str, int], SpamRouting] = {}
-    for spec in batch.specs:
-        if (
-            spec.network_size != batch.network_size
-            or spec.topology_seed != batch.topology_seed
-            or spec.root_strategy != batch.root_strategy
-        ):
-            raise ValueError(
-                f"spec does not belong to this batch: {spec.describe()} "
-                f"vs {batch.describe()}"
-            )
-        evaluator = _evaluator_for(spec.workload_kind)
-        seed = batch.topology_seed if spec.selection_seed is None else spec.selection_seed
-        selection_class = SELECTION_CLASSES.get(spec.selection)
-        stateless = selection_class is not None and selection_class.stateless
-        routing = stateless_cache.get((spec.selection, seed)) if stateless else None
-        if routing is None:
-            selection = make_selection(spec.selection, network, seed=seed)
-            if skeleton is None:
-                skeleton = SpamRouting.build(
-                    network, root_strategy=batch.root_strategy, selection=selection
-                )
-                routing = skeleton
-            else:
-                routing = skeleton.with_selection(selection)
-            if stateless:
-                stateless_cache[(spec.selection, seed)] = routing
-        yield evaluator(spec, telemetry, (network, routing))
-
-
-def evaluate_batch(
-    batch: ReplicationBatchSpec, telemetry: Any = None
-) -> list[SweepPointResult]:
-    """Run a whole replication batch to completion, in spec order.
-
-    See :func:`iter_evaluate_batch` for the sharing and bit-identity
-    contract; ``telemetry`` is forwarded to every replication's engine.
-    """
-    return list(iter_evaluate_batch(batch, telemetry))

@@ -187,6 +187,8 @@ class IrregularLatticeGenerator:
 
     @staticmethod
     def _switch_components(network: Network) -> list[list[int]]:
+        # ``remaining`` holds switches only, so membership in it is also the
+        # switch test (processors are never pushed).
         remaining = set(network.switches())
         components: list[list[int]] = []
         while remaining:
@@ -196,7 +198,7 @@ class IrregularLatticeGenerator:
             while stack:
                 u = stack.pop()
                 for v in network.neighbors(u):
-                    if v in remaining and v in network.switches() and v not in comp:
+                    if v in remaining and v not in comp:
                         comp.add(v)
                         stack.append(v)
             comp_sorted = sorted(comp)

@@ -15,12 +15,13 @@ simulator can use flat arrays and integer bitmasks in their hot paths.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..errors import ConnectivityError, TopologyError
 from .channels import Channel, LinkRole, NodeKind
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Network"]
 
@@ -355,6 +356,8 @@ class Network:
         Node attributes: ``kind`` and ``label``.  Edge attribute: ``cids``
         with the pair of unidirectional channel ids.
         """
+        import networkx as nx  # optional: only this export needs it
+
         graph = nx.Graph(name=self.name)
         for node in self.nodes():
             graph.add_node(node, kind=self._kinds[node].value, label=self._labels[node])

@@ -52,6 +52,20 @@ class TestCli:
         output = capsys.readouterr().out
         assert "speedup" in output
 
+    @pytest.mark.parametrize("verb", ["summarize", "validate"])
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_obs_unreadable_snapshot_is_a_one_line_error(
+        self, capsys, tmp_path, verb, content
+    ):
+        path = tmp_path / "snapshot.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["obs", verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"obs: cannot read {path}")
+
     def test_verify_command(self, capsys):
         rc = main(["verify", "--switches", "16", "--rounds", "1"])
         assert rc == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
@@ -135,6 +138,79 @@ class TestIrregularGenerators:
     def test_random_irregular_multiple_processors(self):
         net = random_irregular_network(4, seed=0, processors_per_switch=2)
         assert net.num_processors == 8
+
+
+def _network_digest(network) -> str:
+    """SHA-256 over the channel list ``(src, dst, cid)`` and the node labels."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps([[c.src, c.dst, c.cid] for c in network.channels()]).encode())
+    digest.update(json.dumps([network.label(n) for n in network.nodes()]).encode())
+    return digest.hexdigest()
+
+
+#: ``lattice_irregular_network(size, seed)`` digests for seeds 0-5, recorded
+#: before the generator's component search was optimised.  Every cached
+#: result, figure export and golden rests on these exact networks.
+LATTICE_DIGESTS = {
+    16: (
+        "465b1b27f65734eec27ba67725cfae70e7ca417f78acc53ff9a7fcb0fb31a605",
+        "6d2552782ddcf139b641493d82a5f06535e451ece39bcb768534c4d1d0c5e7f0",
+        "0738a5d55f0acfa2ca7afe123103fa4ae59a07da824dfddd5e07845d9b1fc40b",
+        "82e89d663d3ebb1bae3779fc6aae377d0e5a0c2527d8547499cba665382c482a",
+        "108a9be5e9e85fcda6524f11f080e94c9a21f683d7054e17486c3c65803bc14a",
+        "d2520d8a190fd073311e36477332f74266b4899efc53781fa53d217d49d949f9",
+    ),
+    32: (
+        "499fc85126f001b29d4d2839ec0e0bd71ef882f38f662a2a3ae03b4cfe5f2282",
+        "4773487fad8e8341f9afd91cc0fbb64469844977cdcde5c8de69787af6f8e47e",
+        "48a126890e62879d7d0f7286801e19adb28e06aee75938b62c8f8fef1eac0a62",
+        "e3fde083eb540d9f6715bd421ee169b378bb34b68d523602a3322d4cb0444db3",
+        "ffef59454169fdb447853207460016ee9344f6a617875b5ebbc176bd4f6c1519",
+        "dbe58c24058750cd128da98f6f8d46153d40e3190a99740ba12ac24077b716ce",
+    ),
+    64: (
+        "05ea23809ffef8a5c9801fb4dd2a06251374b3f5d0282e950277274b32b23a8f",
+        "fd94ee7faad974402c95604910d8f7808d6c9558d04f2cf04be50af362a053f2",
+        "99e7a38e3754ac120369fe08fdfe21c3f90b578881551ced4a619cc9625d93e8",
+        "6572c6ae9d8e36c8ec3ede2d9815c853021bbe5d889249858f4d4472fe72d5c5",
+        "50ccb5297e105762f7466ff71e02cc45f43ebc27b037311ffc8ecadb71aa2dc9",
+        "a9c01f8378b5bb331ae93035b78fccc4cca39c681606188594e364d4fe5ca6e9",
+    ),
+    128: (
+        "5815f00b3ae1756132102d1a92c881a0aee905f137de050e03fd5ad91ddd9f4b",
+        "97cbd3781dae9f8fd5ac7374e0dc4c83bf9d11af585b544c0832cde3a24f23ac",
+        "3b63b1f35ab8e626a19558facfbf09cace10cbd7adb2e1747eb4f0aae1519cfc",
+        "bfd2f4c5bdd1add0d24b4825fcc029d0aaae0ecfe6dd94ff7d39ea731fff3b9e",
+        "4f85356cf158fac23706c50e92685ff8277f18ef5ec870acbbaa6bcef5d9f976",
+        "63f276d9b3707613f434f1d94e63d660f354e97a6f6ecfa1a462bc6f565b73f2",
+    ),
+    192: (
+        "3fef617a31c06ad76c9d2f4548251f352882344c7185104379c869ccc588e04e",
+        "50cb9ad7d688f26d200b7971bfa624b1a16ba38815c9d7940da0aed3df4511a3",
+        "ba1a660b0ce5b09c11aa4dc177d55e66390c8a807e3aa57ff52c42c0b743e6b1",
+        "3742e6f4f81d80c2984eccc3e87ad7b2432e42051cb79d49373e9f53669f39c5",
+        "511522347ef235f6285708f390ede42a6e22e460e21bd3196553dd5269b61e0e",
+        "1ee806f29b799f808e0f8983af774742c71639b9209f9430f51db76c8f6fbae9",
+    ),
+    256: (
+        "d4abbe033c8431492c156585c661cd54d29f3a9e067444dc79b9b4852d36ed1a",
+        "d16f6912841e222a2cbaacaf07068a28ee93d90af4fdebd05a7ff83202544a8b",
+        "7c0648621915c1d98c97806dcf2a97f8a14796f0e728f0872d1f55f3b3e0511b",
+        "8dd2e733078dbe1a8bc328b18d8795cebdb29c60f9eefe9f8136b64559b82e9c",
+        "03756ccadea7c67725e8d03658eec1a334d32ace5564362d70f38c9d66070ffa",
+        "1056fb788f22176fe2818187c31ddb5b55d87560a9bf94e908fdfae6e62bdd2d",
+    ),
+}
+
+
+class TestLatticeGeneratorPinned:
+    @pytest.mark.parametrize("size", sorted(LATTICE_DIGESTS))
+    def test_channel_list_and_labels_pinned(self, size):
+        digests = tuple(
+            _network_digest(lattice_irregular_network(size, seed=seed))
+            for seed in range(len(LATTICE_DIGESTS[size]))
+        )
+        assert digests == LATTICE_DIGESTS[size]
 
 
 class TestRegularGenerators:

@@ -10,9 +10,9 @@ the subsystem's acceptance guarantees:
 2. after deleting half the store (simulating an interrupted sweep), a
    ``--resume`` re-run completes exactly the missing points with a nonzero
    cache-hit count and still reproduces the identical figure;
-3. a batched-replication run (``batch_replications`` > 0, fresh store)
-   computes every point through the batched Monte-Carlo backend and its
-   figure export is byte-identical to the unbatched cold run's.
+3. a per-point recompute without a store, with the per-process skeleton
+   cache cleared before every point, exports byte-identically to the cold
+   run (which built each network once and shared it).
 
 With ``--shard I/N`` the same guarantees are asserted for one deterministic
 shard of the sweep (the CI sweep-smoke job runs a 2-shard matrix this way;
@@ -45,7 +45,13 @@ from repro.experiments.figure3 import (  # noqa: E402
     figure3_result_from_points,
     figure3_specs,
 )
-from repro.sweeps import ResultStore, parse_shard, run_sweep, shard_specs  # noqa: E402
+from repro.sweeps import (  # noqa: E402
+    ResultStore,
+    clear_skeleton_cache,
+    parse_shard,
+    run_sweep,
+    shard_specs,
+)
 
 
 def export(config, outcome) -> bytes:
@@ -122,20 +128,17 @@ def main() -> int:
         assert status is not None and status.complete, status
         print(f"manifest:   {status.describe()}")
 
-        # Batched Monte-Carlo backend: a fresh store, every point computed
-        # through skeleton-sharing batches, byte-identical figure export.
-        batched = run_sweep(
-            specs,
-            store=ResultStore(Path(tmp) / "batched-cache"),
-            batch_replications=8,
+        # Per-point recompute: no store, and every point builds its network
+        # and SPAM skeleton from scratch; byte-identical figure export.
+        clear_skeleton_cache()
+        fresh = run_sweep(
+            specs, store=None, progress=lambda *_: clear_skeleton_cache()
         )
-        assert batched.computed == len(specs) and batched.cache_hits == 0, (
-            batched.summary()
+        assert fresh.computed == len(specs) and fresh.cache_hits == 0, fresh.summary()
+        assert export(config, fresh) == cold_export, (
+            "per-point fresh-skeleton export differs from the cold run"
         )
-        assert export(config, batched) == cold_export, (
-            "batched-replication export differs from the unbatched cold run"
-        )
-        print(f"batched run: {batched.summary()}  (export byte-identical)")
+        print(f"fresh run:  {fresh.summary()}  (export byte-identical)")
 
         if args.golden:
             golden_specs = figure3_specs(config)
