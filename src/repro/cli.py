@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -313,6 +314,30 @@ def _write_telemetry(telemetry: Telemetry, out: str) -> None:
     print(f"telemetry written to {snapshot_path} (trace: {trace_path})")
 
 
+def _output_path_error(path: str, creates_parents: bool) -> str | None:
+    """Why ``path`` cannot be written as an output file, or ``None``.
+
+    Checked before any work starts, so that a bad ``--export`` or
+    ``--telemetry`` destination fails fast instead of after a whole sweep.
+    ``creates_parents`` marks writers that make missing directories; for
+    them the nearest existing ancestor has to be a writable directory.
+    """
+    target = Path(path)
+    if target.is_dir():
+        return "is a directory"
+    parent = target.parent
+    if creates_parents:
+        while not parent.exists() and parent != parent.parent:
+            parent = parent.parent
+    if not parent.exists():
+        return f"directory {parent} does not exist"
+    if not parent.is_dir():
+        return f"{parent} is not a directory"
+    if not os.access(parent, os.W_OK):
+        return f"directory {parent} is not writable"
+    return None
+
+
 def _region_overrides(args) -> tuple[tuple[str, object], ...]:
     regions = getattr(args, "region_parallel", None)
     if not regions:
@@ -386,7 +411,7 @@ def _cmd_merge(args) -> int:
         report = merge_stores(args.into, *args.sources)
     except (SweepError, ValueError) as exc:
         print(f"sweep merge: {exc}", file=sys.stderr)
-        return 1
+        return 2
     print(f"sweep merge: {report.summary()}  (store: {args.into})")
     if report.missing:
         print(f"  still missing {len(report.missing)} expected point(s); "
@@ -706,6 +731,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.sources = list(args.sources) + extras
         else:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    for flag, creates_parents in (("export", False), ("telemetry", True)):
+        path = getattr(args, flag, None)
+        error = _output_path_error(path, creates_parents) if path else None
+        if error is not None:
+            print(f"{args.command}: --{flag} {path}: {error}", file=sys.stderr)
+            return 2
     scale = SCALES[args.scale]
     if args.command == "topology":
         return _cmd_topology(args)

@@ -17,8 +17,14 @@ from repro.analysis.report import (
     format_table,
     series_side_by_side,
 )
-from repro.analysis.stats import confidence_interval, relative_half_width, summarize_samples
+from repro.analysis.stats import (
+    _T_CRIT_95,
+    confidence_interval,
+    relative_half_width,
+    summarize_samples,
+)
 from repro.analysis.sweeps import SweepResult, SweepSeries
+from repro.experiments.common import SCALES
 
 
 class TestSampleStatistics:
@@ -59,6 +65,55 @@ class TestSampleStatistics:
         payload = summary.as_dict()
         assert payload["count"] == 3
         assert "rel_half_width" in payload
+
+
+def _scipy_stats_interval(values, confidence):
+    """The interval as computed through ``scipy.stats`` directly."""
+    scipy_stats = pytest.importorskip("scipy.stats")
+    n = len(values)
+    mean = sum(values) / n
+    variance = sum((v - mean) ** 2 for v in values) / (n - 1)
+    sem = math.sqrt(variance / n)
+    t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    return (mean - t_crit * sem, mean + t_crit * sem)
+
+
+def _sample(n):
+    return [float((7919 * i) % 101) + 0.25 * i for i in range(n)]
+
+
+class TestTCriticalValues:
+    """The tabulated 95 % t quantiles and the stdtrit fallback are scipy's,
+    bit for bit, so figure exports do not depend on which path ran."""
+
+    def test_table_is_scipy_t_ppf(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        assert len(_T_CRIT_95) == 1024
+        for df, value in enumerate(_T_CRIT_95, start=1):
+            assert value == float(scipy_stats.t.ppf(0.975, df)), df
+
+    def test_table_bounds_match_scipy_stats(self):
+        for n in range(2, len(_T_CRIT_95) + 2):
+            values = _sample(n)
+            assert confidence_interval(values) == _scipy_stats_interval(values, 0.95), n
+
+    @pytest.mark.parametrize("n, confidence", [
+        (len(_T_CRIT_95) + 2, 0.95),
+        (5000, 0.95),
+        (2, 0.9),
+        (16, 0.9),
+        (120, 0.99),
+        (5000, 0.99),
+    ])
+    def test_fallback_bounds_match_scipy_stats(self, n, confidence):
+        values = _sample(n)
+        assert confidence_interval(values, confidence) == _scipy_stats_interval(
+            values, confidence
+        )
+
+    def test_table_covers_every_shipped_sample_count(self):
+        largest = max(scale.messages_per_rate_point for scale in SCALES.values())
+        assert largest - 1 <= len(_T_CRIT_95)
 
 
 class TestBounds:

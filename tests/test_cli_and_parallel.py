@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -65,6 +70,38 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"obs: cannot read {path}")
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "figure2", "--export", "{missing}/out.json"],
+        ["sweep", "figure3", "--export", "{missing}/out.json"],
+        ["sweep", "compare", "--export", "{tmp}"],
+        ["figure2", "--telemetry", "{file}/obs.json"],
+        ["figure3", "--telemetry", "{file}/obs.json"],
+        ["compare", "--telemetry", "{file}/obs.json"],
+        ["sweep", "figure3", "--telemetry", "{file}/nested/obs.json"],
+        ["sweep", "serve", "--telemetry", "{file}/obs.json"],
+        ["sweep", "merge", "--into", "{tmp}/merged", "{missing}"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_misuse_is_a_one_line_error_before_any_work(self, tmp_path, argv):
+        """A bad output destination or merge source ends in exit 2 and one
+        stderr line, and fails before the sweep computes anything."""
+        (tmp_path / "file").write_text("")
+        paths = {"tmp": tmp_path, "missing": tmp_path / "missing",
+                 "file": tmp_path / "file"}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--scale", "smoke",
+             *(arg.format(**paths) for arg in argv)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+            timeout=60,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr.count("\n") == 1
+        assert "Traceback" not in completed.stderr
 
     def test_verify_command(self, capsys):
         rc = main(["verify", "--switches", "16", "--rounds", "1"])

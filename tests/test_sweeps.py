@@ -12,11 +12,13 @@ Covers the satellite guarantees the subsystem exists to provide:
 * multi-host sharding: `shard_specs` is a reorder-stable disjoint cover,
   shards merged with `merge_stores` reproduce the unsharded figure export
   byte for byte, manifests account for owed points, and a cleared store's
-  index is never trusted stale after a merge re-populates it.
+  index is never trusted stale after a merge re-populates it;
+* the smoke-scale figure exports are pinned by digest across commits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -623,6 +625,24 @@ class TestClearStaleIndex:
 
 
 class TestSweepCli:
+    @pytest.mark.parametrize("experiment, digest", [
+        ("figure2", "693da22f455b0eb553b89e1ddb5742466f9174c52aba4b36d58133c8b55a3168"),
+        ("figure3", "9eb4ac4297f07ee5b7c6a48c49bfd1c46179e34b2f41d5dcc2a0b33d3beaf397"),
+    ])
+    def test_smoke_export_bytes_are_pinned(self, tmp_path, capsys, experiment, digest):
+        """``--scale smoke sweep <figure> --no-cache --export`` writes the same
+        bytes on every commit: engine, statistics and export format are
+        frozen together.  A deliberate change to any of them updates the
+        digest here in the same commit."""
+        from repro.cli import main
+
+        export = tmp_path / f"{experiment}.json"
+        rc = main(["--scale", "smoke", "sweep", experiment, "--no-cache",
+                   "--export", str(export)])
+        assert rc == 0
+        capsys.readouterr()
+        assert hashlib.sha256(export.read_bytes()).hexdigest() == digest
+
     def test_sweep_command_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
 
